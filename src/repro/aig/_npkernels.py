@@ -180,14 +180,13 @@ class NumpyKernels:
         return dep.tolist()
 
     def depends_mask2(
-        self, var: int, others: Iterable[int]
+        self, labels: Iterable[int], others: Iterable[int]
     ) -> Tuple[List[bool], List[bool]]:
-        """One sweep computing (depends on ``var``, depends on ``var`` or
-        any of ``others``) — the two classifications the fused Theorem-1
-        kernel needs."""
-        np = self._np
+        """One sweep computing (depends on ``labels``, depends on
+        ``labels`` or any of ``others``) — the two classifications the
+        fused Theorem-1 kernel needs."""
         n = self.sync()
-        dep_var = np.equal(self._label[:n], var)
+        dep_var = self._seed_mask(labels, n)
         dep_rel = dep_var | self._seed_mask(others, n)
         f0n, f1n = self._f0n, self._f1n
         for ids in self._and_level_groups():

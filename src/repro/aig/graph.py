@@ -28,10 +28,10 @@ which yields two structural invariants the kernels exploit:
   levels)``), so ``level_of`` is an O(1) array read, never a sweep.
 
 Two kernel *backends* implement the hot traversals over this storage
-(see :mod:`repro.aig.backend`): the pure-Python reference loops, and
-optional numpy kernels (:mod:`repro.aig._npkernels`) that mirror the
-arrays into ``int64`` ndarrays and replace per-node dict/set work with
-vectorized level-ordered sweeps.  The backend is chosen per manager
+(see :mod:`repro.aig.backend`): pure-Python loops, and optional numpy
+kernels (:mod:`repro.aig._npkernels`) that mirror the arrays into
+``int64`` ndarrays for vectorized level-ordered sweeps (cone masks,
+dependency masks, simulation).  The backend is chosen per manager
 (``Aig(backend=...)``, defaulting to the import-time
 ``REPRO_AIG_BACKEND`` selection) and both backends produce identical
 results, node numberings, and traversal counters.
@@ -42,23 +42,37 @@ Two layers sit on top of the plain rebuild machinery:
   :meth:`Aig.eliminate_universal_fused`) that performs constant
   substitution, double cofactoring and Theorem-1 elimination in a
   *single* cone traversal, sharing (rather than rebuilding) every node
-  whose cone does not touch the substituted variables.  The
-  share-vs-rebuild classification is a per-node support disjointness
-  test on the python backend and a precomputed vectorized dependency
-  mask on the numpy backend — same decisions, same counters;
+  whose cone does not touch the substituted variables.  A pass first
+  builds its **share mask** (:meth:`Aig._share_masks`: per node, does
+  its cone contain a substituted variable) — one ascending sweep over
+  the cone on the python backend, vectorized level-group sweeps on
+  numpy — and then runs the **one** traversal both backends share;
 * a **generation-stamped per-node cache** of structural support sets.
   Nodes are append-only and fanins immutable, so a cache entry stays
   valid for the lifetime of the manager; ``extract`` (compaction)
   starts a fresh manager whose caches are empty and whose
   ``cache_generation`` is bumped, which is the only invalidation event.
 
+**Kernel passes are tight loops.**  ``rebuild`` (hence ``extract``,
+``compose`` and ``cofactor``) and ``restrict`` run
+:meth:`Aig._rebuild_pass`; ``cofactor2`` and Theorem-1 elimination run
+:meth:`Aig.eliminate_universal_fused`.  Their caches are node-indexed
+lists sized to the manager and dropped with the pass, their counters
+are locals added to :class:`KernelCounters` once per pass, and they
+inline the strash lookup and node append instead of calling
+:meth:`Aig.land`.  An inlined append must keep ``_fanin0``,
+``_fanin1``, ``_input_label``, ``_level`` and ``_mark`` in step, as
+:meth:`Aig._new_node` does.  Both loops visit nodes in the depth-first
+order of :meth:`Aig.cone_nodes`, so node ids and counters do not depend
+on which loop built a node.
+
 All kernel passes account their work in :class:`KernelCounters`, shared
 across compactions, so callers can compare rebuild strategies.  The
 traversal counters (``nodes_visited``, ``nodes_shared``, strash and
 pass counts) are backend-independent; the ``support_cache_*`` counters
 reflect how often the frozenset cache is consulted and therefore differ
-between backends (the numpy kernels classify via masks without filling
-the cache).
+between backends (a numpy support query is one cone sweep that caches
+only the queried node).
 """
 
 from __future__ import annotations
@@ -127,6 +141,10 @@ def is_complemented(edge: int) -> bool:
 
 def complement(edge: int) -> int:
     return edge ^ 1
+
+
+def _no_fresh() -> int:
+    raise AssertionError("cofactor2 has no dependents to rename")
 
 
 class Aig:
@@ -280,7 +298,7 @@ class Aig:
         return len(self._fanin0)
 
     def cone_nodes(self, root: int) -> List[int]:
-        """Cone of ``root`` in depth-first post-order (fanin0 first).
+        """Cone of ``root`` in depth-first post-order (fanin1's subtree first).
 
         The *order* is part of the contract, on both backends: the CNF
         encoders number Tseitin auxiliaries in cone order, `rebuild`
@@ -293,25 +311,28 @@ class Aig:
         :meth:`_cone_nodes_ascending` / the kernel cone masks when only
         membership matters.
         """
-        seen: Set[int] = set()
-        order: List[int] = []
+        self._travid += 1
+        travid = self._travid
+        mark = self._mark
         fanin0, fanin1 = self._fanin0, self._fanin1
+        order: List[int] = []
         stack = [root >> 1]
         while stack:
             node = stack.pop()
-            if node in seen:
+            if mark[node] == travid:
                 continue
-            if fanin0[node] >= 0:
-                pending = [
-                    n
-                    for n in (fanin0[node] >> 1, fanin1[node] >> 1)
-                    if n not in seen
-                ]
-                if pending:
+            f0 = fanin0[node]
+            if f0 >= 0:
+                n0, n1 = f0 >> 1, fanin1[node] >> 1
+                todo0, todo1 = mark[n0] != travid, mark[n1] != travid
+                if todo0 or todo1:
                     stack.append(node)
-                    stack.extend(pending)
+                    if todo0:
+                        stack.append(n0)
+                    if todo1:
+                        stack.append(n1)
                     continue
-            seen.add(node)
+            mark[node] = travid
             order.append(node)
         return order
 
@@ -506,26 +527,98 @@ class Aig:
         to themselves.  Returns the list of rebuilt root edges.
         """
         target = target if target is not None else self
-        counters = self.counters
-        counters.rebuild_passes += 1
-        cache: Dict[int, int] = {0: FALSE}  # node -> rebuilt edge (uncomplemented view)
+        self.counters.rebuild_passes += 1
+        return self._rebuild_pass(roots, leaf_map, target, [True] * self.num_nodes)
+
+    def _rebuild_pass(
+        self,
+        roots: Sequence[int],
+        leaf_map: Dict[int, int],
+        target: "Aig",
+        depends: List[bool],
+    ) -> List[int]:
+        """The single-valued kernel behind :meth:`rebuild` and :meth:`restrict`.
+
+        A depth-first traversal of the cones of ``roots`` (fanin1 is
+        explored before fanin0, a node is built once both fanins are)
+        that creates nodes in ``target`` in the same post-order as
+        :meth:`cone_nodes`.  A node whose ``depends`` flag is clear is
+        shared verbatim and not descended into (only when ``target`` is
+        ``self``; a plain rebuild passes an all-set mask).
+        """
+        fanin0, fanin1, labels = self._fanin0, self._fanin1, self._input_label
+        t_fanin0, t_fanin1 = target._fanin0, target._fanin1
+        t_labels, t_levels, t_marks = target._input_label, target._level, target._mark
+        strash = target._strash
+        strash_get = strash.get
+        cache = [-1] * len(fanin0)  # node -> rebuilt edge (uncomplemented view)
+        cache[0] = FALSE
+        visited = shared = lookups = hits = 0
         for root in roots:
-            for node in self.cone_nodes(root):
-                if node in cache:
+            stack = [root >> 1]
+            while stack:
+                node = stack[-1]
+                if cache[node] >= 0:
+                    stack.pop()
                     continue
-                counters.nodes_visited += 1
-                if self.is_input(node):
-                    label = self._input_label[node]
-                    if label in leaf_map:
-                        cache[node] = leaf_map[label]
-                    else:
-                        cache[node] = target.var(label)
+                f0 = fanin0[node]
+                if f0 < 0:  # input node
+                    edge = leaf_map.get(labels[node])
+                    cache[node] = target.var(labels[node]) if edge is None else edge
+                    visited += 1
+                    stack.pop()
+                    continue
+                f1 = fanin1[node]
+                n0, n1 = f0 >> 1, f1 >> 1
+                # A fanin whose flag is clear is shared on the spot; only
+                # nodes that need rebuilding are stacked.
+                a = cache[n0]
+                if a < 0 and not depends[n0]:
+                    a = cache[n0] = n0 << 1
+                    shared += 1
+                b = cache[n1]
+                if b < 0 and not depends[n1]:
+                    b = cache[n1] = n1 << 1
+                    shared += 1
+                if a < 0 or b < 0:
+                    if a < 0:
+                        stack.append(n0)
+                    if b < 0:
+                        stack.append(n1)
+                    continue
+                a ^= f0 & 1
+                b ^= f1 & 1
+                # inlined land(a, b) on target
+                if a < 2 or b < 2 or a ^ b < 2:
+                    edge = b if a == TRUE else a if b == TRUE or a == b else FALSE
                 else:
-                    f0, f1 = self._fanin0[node], self._fanin1[node]
-                    e0 = cache[node_of(f0)] ^ (f0 & 1)
-                    e1 = cache[node_of(f1)] ^ (f1 & 1)
-                    cache[node] = target.land(e0, e1)
-        return [cache[node_of(r)] ^ (r & 1) for r in roots]
+                    if a > b:
+                        a, b = b, a
+                    lookups += 1
+                    key = (a, b)
+                    edge = strash_get(key)
+                    if edge is None:
+                        edge = len(t_fanin0)
+                        l0, l1 = t_levels[a >> 1], t_levels[b >> 1]
+                        t_fanin0.append(a)
+                        t_fanin1.append(b)
+                        t_labels.append(0)
+                        t_levels.append(1 + (l0 if l0 >= l1 else l1))
+                        t_marks.append(0)
+                        strash[key] = edge
+                    else:
+                        hits += 1
+                    edge <<= 1
+                cache[node] = edge
+                visited += 1
+                stack.pop()
+        counters = self.counters
+        counters.nodes_visited += visited
+        counters.nodes_shared += shared
+        counters = target.counters
+        counters.strash_lookups += lookups
+        counters.strash_hits += hits
+        return [cache[r >> 1] ^ (r & 1) for r in roots]
 
     def cofactor(self, root: int, var: int, value: bool) -> int:
         """Shannon cofactor of ``root`` with respect to an external variable."""
@@ -552,6 +645,38 @@ class Aig:
     # ------------------------------------------------------------------
     # fused kernel: single-pass substitution / cofactoring / elimination
     # ------------------------------------------------------------------
+    def _share_masks(
+        self, root: int, labels: frozenset, others: frozenset = _EMPTY_SUPPORT
+    ) -> Tuple[List[bool], List[bool]]:
+        """The per-pass share masks of a fused kernel pass.
+
+        ``dep[n]``: the cone of node ``n`` contains a variable of
+        ``labels``; ``rel[n]``: it contains one of ``labels | others``
+        (``rel`` *is* ``dep`` when ``others`` is empty).  Entries are
+        exact for every node in the cone of ``root``.  numpy: vectorized
+        level-group sweeps over the manager; python: one ascending sweep
+        over the cone (ascending ids are a topological order).
+        """
+        if self.backend == "numpy":
+            if not others:
+                dep = self._np.depends_mask(labels)
+                return dep, dep
+            return self._np.depends_mask2(labels, others)
+        fanin0, fanin1, label = self._fanin0, self._fanin1, self._input_label
+        dep = [False] * len(fanin0)
+        rel = [False] * len(fanin0) if others else dep
+        wider = labels | others
+        for node in self._cone_nodes_ascending(root):
+            f0 = fanin0[node]
+            if f0 < 0:
+                dep[node] = label[node] in labels
+                rel[node] = label[node] in wider
+            else:
+                n0, n1 = f0 >> 1, fanin1[node] >> 1
+                dep[node] = dep[n0] or dep[n1]
+                rel[node] = rel[n0] or rel[n1]
+        return dep, rel
+
     def restrict(self, root: int, assignment: Dict[int, bool]) -> int:
         """Substitute constants for several external variables in one pass.
 
@@ -562,190 +687,23 @@ class Aig:
         """
         if root < 2 or not assignment:
             return root
-        touched = frozenset(assignment)
-        if self.backend == "numpy":
-            depends = self._np.depends_mask(touched)
-            if not depends[root >> 1]:
-                return root
-            return self._restrict_masked(root, assignment, depends)
-        support_of = self.support_of
-        if support_of(root).isdisjoint(touched):
+        depends, _ = self._share_masks(root, frozenset(assignment))
+        if not depends[root >> 1]:
             return root
-        counters = self.counters
-        counters.fused_passes += 1
-        cache: Dict[int, int] = {0: FALSE}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if support_of(edge_of(node)).isdisjoint(touched):
-                cache[node] = edge_of(node)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):
-                cache[node] = TRUE if assignment[self._input_label[node]] else FALSE
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            r0 = cache.get(node_of(f0))
-            r1 = cache.get(node_of(f1))
-            if r0 is None or r1 is None:
-                if r0 is None:
-                    stack.append(node_of(f0))
-                if r1 is None:
-                    stack.append(node_of(f1))
-                continue
-            cache[node] = self.land(r0 ^ (f0 & 1), r1 ^ (f1 & 1))
-            counters.nodes_visited += 1
-            stack.pop()
-        return cache[node_of(root)] ^ (root & 1)
-
-    def _restrict_masked(
-        self, root: int, assignment: Dict[int, bool], depends: List[bool]
-    ) -> int:
-        """`restrict` with the share test precomputed as a dependency mask.
-
-        ``depends[node]`` is exactly ``not support_of(node).isdisjoint
-        (assignment)``, so the traversal makes identical decisions and
-        counts identical work to the python path.
-        """
-        counters = self.counters
-        counters.fused_passes += 1
-        cache: Dict[int, int] = {0: FALSE}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if not depends[node]:
-                cache[node] = edge_of(node)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):
-                cache[node] = TRUE if assignment[self._input_label[node]] else FALSE
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            r0 = cache.get(node_of(f0))
-            r1 = cache.get(node_of(f1))
-            if r0 is None or r1 is None:
-                if r0 is None:
-                    stack.append(node_of(f0))
-                if r1 is None:
-                    stack.append(node_of(f1))
-                continue
-            cache[node] = self.land(r0 ^ (f0 & 1), r1 ^ (f1 & 1))
-            counters.nodes_visited += 1
-            stack.pop()
-        return cache[node_of(root)] ^ (root & 1)
+        self.counters.fused_passes += 1
+        leaf_map = {var: TRUE if value else FALSE for var, value in assignment.items()}
+        return self._rebuild_pass((root,), leaf_map, self, depends)[0]
 
     def cofactor2(self, root: int, var: int) -> Tuple[int, int]:
         """Both Shannon cofactors of ``root`` w.r.t. ``var`` in one pass.
 
         Nodes independent of ``var`` are shared between the input cone
         and both cofactors; the rest of the cone is visited exactly once
-        (instead of twice for two :meth:`cofactor` calls).
+        (instead of twice for two :meth:`cofactor` calls).  This is the
+        Theorem-1 kernel with no dependents to rename.
         """
-        if root < 2:
-            return root, root
-        if self.backend == "numpy":
-            depends = self._np.depends_mask((var,))
-            if not depends[root >> 1]:
-                return root, root
-            return self._cofactor2_masked(root, depends)
-        support_of = self.support_of
-        if var not in support_of(root):
-            return root, root
-        counters = self.counters
-        counters.fused_passes += 1
-        # node -> (0-cofactor edge, 1-cofactor edge), uncomplemented view
-        cache: Dict[int, Tuple[int, int]] = {0: (FALSE, FALSE)}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if var not in support_of(edge_of(node)):
-                edge = edge_of(node)
-                cache[node] = (edge, edge)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):  # the variable itself
-                cache[node] = (FALSE, TRUE)
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            p0 = cache.get(node_of(f0))
-            p1 = cache.get(node_of(f1))
-            if p0 is None or p1 is None:
-                if p0 is None:
-                    stack.append(node_of(f0))
-                if p1 is None:
-                    stack.append(node_of(f1))
-                continue
-            c0, c1 = f0 & 1, f1 & 1
-            cache[node] = (
-                self.land(p0[0] ^ c0, p1[0] ^ c1),
-                self.land(p0[1] ^ c0, p1[1] ^ c1),
-            )
-            counters.nodes_visited += 1
-            stack.pop()
-        e0, e1 = cache[node_of(root)]
-        sign = root & 1
-        return e0 ^ sign, e1 ^ sign
-
-    def _cofactor2_masked(self, root: int, depends: List[bool]) -> Tuple[int, int]:
-        """`cofactor2` with the per-node ``var in support`` test replaced
-        by the precomputed dependency mask (identical traversal)."""
-        counters = self.counters
-        counters.fused_passes += 1
-        cache: Dict[int, Tuple[int, int]] = {0: (FALSE, FALSE)}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if not depends[node]:
-                edge = edge_of(node)
-                cache[node] = (edge, edge)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):  # the variable itself
-                cache[node] = (FALSE, TRUE)
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            p0 = cache.get(node_of(f0))
-            p1 = cache.get(node_of(f1))
-            if p0 is None or p1 is None:
-                if p0 is None:
-                    stack.append(node_of(f0))
-                if p1 is None:
-                    stack.append(node_of(f1))
-                continue
-            c0, c1 = f0 & 1, f1 & 1
-            cache[node] = (
-                self.land(p0[0] ^ c0, p1[0] ^ c1),
-                self.land(p0[1] ^ c0, p1[1] ^ c1),
-            )
-            counters.nodes_visited += 1
-            stack.pop()
-        e0, e1 = cache[node_of(root)]
-        sign = root & 1
-        return e0 ^ sign, e1 ^ sign
+        cof0, cof1, _ = self.eliminate_universal_fused(root, var, (), _no_fresh)
+        return cof0, cof1
 
     def eliminate_universal_fused(
         self,
@@ -770,160 +728,132 @@ class Aig:
         also misses every dependent (otherwise the rename forces a
         rebuild even though the cofactor is trivial).
         """
-        dependents = frozenset(dependents)
         if root < 2:
             return root, root, {}
-        if self.backend == "numpy":
-            dep_var, dep_rel = self._np.depends_mask2(var, dependents)
-            if not dep_var[root >> 1]:
-                return root, root, {}
-            return self._eliminate_fused_masked(root, var, fresh, dep_var, dep_rel)
-        support_of = self.support_of
-        root_support = support_of(root)
-        if var not in root_support:
+        dep_var, dep_rel = self._share_masks(root, frozenset((var,)), frozenset(dependents))
+        if not dep_var[root >> 1]:
             return root, root, {}
-        relevant = dependents | {var}
-        counters = self.counters
-        counters.fused_passes += 1
+        self.counters.fused_passes += 1
+        fanin0, fanin1, labels = self._fanin0, self._fanin1, self._input_label
+        levels, marks = self._level, self._mark
+        strash = self._strash
+        strash_get = strash.get
         copies: Dict[int, int] = {}
         copy_edges: Dict[int, int] = {}
-
-        def renamed_input(label: int) -> int:
-            edge = copy_edges.get(label)
-            if edge is None:
-                copies[label] = fresh()
-                edge = self.var(copies[label])
-                copy_edges[label] = edge
-            return edge
-
-        cache: Dict[int, Tuple[int, int]] = {0: (FALSE, FALSE)}
-        stack = [node_of(root)]
+        # node -> 0-cofactor / 1-cofactor edge (uncomplemented view);
+        # both are written together, so ``side0`` alone marks done nodes
+        side0 = [-1] * len(fanin0)
+        side1 = [-1] * len(fanin0)
+        side0[0] = side1[0] = FALSE
+        visited = shared = lookups = hits = 0
+        stack = [root >> 1]
         while stack:
             node = stack[-1]
-            if node in cache:
+            if side0[node] >= 0:
                 stack.pop()
                 continue
-            node_support = support_of(edge_of(node))
-            if node_support.isdisjoint(relevant):
-                edge = edge_of(node)
-                cache[node] = (edge, edge)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):
-                label = self._input_label[node]
+            f0 = fanin0[node]
+            if f0 < 0:  # input node: ``var`` itself or a dependent
+                label = labels[node]
                 if label == var:
-                    cache[node] = (FALSE, TRUE)
+                    side0[node], side1[node] = FALSE, TRUE
                 else:  # a dependent: identical on the 0-side, renamed on the 1-side
-                    cache[node] = (edge_of(node), renamed_input(label))
-                counters.nodes_visited += 1
+                    edge = copy_edges.get(label)
+                    if edge is None:
+                        copies[label] = fresh()
+                        edge = copy_edges[label] = self.var(copies[label])
+                    side0[node], side1[node] = node << 1, edge
+                visited += 1
                 stack.pop()
                 continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            p0 = cache.get(node_of(f0))
-            p1 = cache.get(node_of(f1))
-            if p0 is None or p1 is None:
-                if p0 is None:
-                    stack.append(node_of(f0))
-                if p1 is None:
-                    stack.append(node_of(f1))
-                continue
-            c0, c1 = f0 & 1, f1 & 1
-            if var in node_support:
-                e0 = self.land(p0[0] ^ c0, p1[0] ^ c1)
-            else:  # cofactoring is trivial here; only the rename matters
-                e0 = edge_of(node)
-                counters.nodes_shared += 1
-            cache[node] = (e0, self.land(p0[1] ^ c0, p1[1] ^ c1))
-            counters.nodes_visited += 1
-            stack.pop()
-        e0, e1 = cache[node_of(root)]
-        sign = root & 1
-        cofactor0, cofactor1 = e0 ^ sign, e1 ^ sign
-        if copies:
-            # The same pass's support data tells us which copies survived
-            # the one-level simplifications — no extra cone walk.
-            survivors = self.support_of(cofactor1) if cofactor1 > 1 else _EMPTY_SUPPORT
-            copies = {y: y2 for y, y2 in copies.items() if y2 in survivors}
-        return cofactor0, cofactor1, copies
-
-    def _eliminate_fused_masked(
-        self,
-        root: int,
-        var: int,
-        fresh: Callable[[], int],
-        dep_var: List[bool],
-        dep_rel: List[bool],
-    ) -> Tuple[int, int, Dict[int, int]]:
-        """Theorem-1 kernel with both classifications precomputed as masks:
-        ``dep_var[node]`` = cone contains ``var`` (0-side sharing),
-        ``dep_rel[node]`` = cone touches ``var`` or any dependent
-        (1-side sharing).  Same traversal and counters as the python
-        path."""
-        counters = self.counters
-        counters.fused_passes += 1
-        copies: Dict[int, int] = {}
-        copy_edges: Dict[int, int] = {}
-
-        def renamed_input(label: int) -> int:
-            edge = copy_edges.get(label)
-            if edge is None:
-                copies[label] = fresh()
-                edge = self.var(copies[label])
-                copy_edges[label] = edge
-            return edge
-
-        cache: Dict[int, Tuple[int, int]] = {0: (FALSE, FALSE)}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if not dep_rel[node]:
-                edge = edge_of(node)
-                cache[node] = (edge, edge)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):
-                label = self._input_label[node]
-                if label == var:
-                    cache[node] = (FALSE, TRUE)
-                else:  # a dependent: identical on the 0-side, renamed on the 1-side
-                    cache[node] = (edge_of(node), renamed_input(label))
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            p0 = cache.get(node_of(f0))
-            p1 = cache.get(node_of(f1))
-            if p0 is None or p1 is None:
-                if p0 is None:
-                    stack.append(node_of(f0))
-                if p1 is None:
-                    stack.append(node_of(f1))
+            f1 = fanin1[node]
+            n0, n1 = f0 >> 1, f1 >> 1
+            # A fanin whose cone misses every relevant variable is shared
+            # on the spot; only nodes that need rebuilding are stacked.
+            a = side0[n0]
+            if a < 0 and not dep_rel[n0]:
+                a = side0[n0] = side1[n0] = n0 << 1
+                shared += 1
+            b = side0[n1]
+            if b < 0 and not dep_rel[n1]:
+                b = side0[n1] = side1[n1] = n1 << 1
+                shared += 1
+            if a < 0 or b < 0:
+                if a < 0:
+                    stack.append(n0)
+                if b < 0:
+                    stack.append(n1)
                 continue
             c0, c1 = f0 & 1, f1 & 1
             if dep_var[node]:
-                e0 = self.land(p0[0] ^ c0, p1[0] ^ c1)
+                a ^= c0
+                b ^= c1
+                # inlined land(a, b)
+                if a < 2 or b < 2 or a ^ b < 2:
+                    edge = b if a == TRUE else a if b == TRUE or a == b else FALSE
+                else:
+                    if a > b:
+                        a, b = b, a
+                    lookups += 1
+                    key = (a, b)
+                    edge = strash_get(key)
+                    if edge is None:
+                        edge = len(fanin0)
+                        l0, l1 = levels[a >> 1], levels[b >> 1]
+                        fanin0.append(a)
+                        fanin1.append(b)
+                        labels.append(0)
+                        levels.append(1 + (l0 if l0 >= l1 else l1))
+                        marks.append(0)
+                        strash[key] = edge
+                    else:
+                        hits += 1
+                    edge <<= 1
+                side0[node] = edge
             else:  # cofactoring is trivial here; only the rename matters
-                e0 = edge_of(node)
-                counters.nodes_shared += 1
-            cache[node] = (e0, self.land(p0[1] ^ c0, p1[1] ^ c1))
-            counters.nodes_visited += 1
+                side0[node] = node << 1
+                shared += 1
+            a, b = side1[n0] ^ c0, side1[n1] ^ c1
+            # inlined land(a, b)
+            if a < 2 or b < 2 or a ^ b < 2:
+                edge = b if a == TRUE else a if b == TRUE or a == b else FALSE
+            else:
+                if a > b:
+                    a, b = b, a
+                lookups += 1
+                key = (a, b)
+                edge = strash_get(key)
+                if edge is None:
+                    edge = len(fanin0)
+                    l0, l1 = levels[a >> 1], levels[b >> 1]
+                    fanin0.append(a)
+                    fanin1.append(b)
+                    labels.append(0)
+                    levels.append(1 + (l0 if l0 >= l1 else l1))
+                    marks.append(0)
+                    strash[key] = edge
+                else:
+                    hits += 1
+                edge <<= 1
+            side1[node] = edge
+            visited += 1
             stack.pop()
-        e0, e1 = cache[node_of(root)]
+        counters = self.counters
+        counters.nodes_visited += visited
+        counters.nodes_shared += shared
+        counters.strash_lookups += lookups
+        counters.strash_hits += hits
         sign = root & 1
-        cofactor0, cofactor1 = e0 ^ sign, e1 ^ sign
+        cofactor0, cofactor1 = side0[root >> 1] ^ sign, side1[root >> 1] ^ sign
         if copies:
-            # Survivor filtering needs the 1-cofactor's support once; a
-            # single vectorized cone sweep, no per-node cache fills.
-            survivors = (
-                self._np.cone_support(cofactor1 >> 1)
-                if cofactor1 > 1
-                else _EMPTY_SUPPORT
-            )
+            # Survivor filtering needs the 1-cofactor's support once.
+            survivors = _EMPTY_SUPPORT
+            if cofactor1 > 1:
+                survivors = (
+                    self._np.cone_support(cofactor1 >> 1)
+                    if self.backend == "numpy"
+                    else self.support_of(cofactor1)
+                )
             copies = {y: y2 for y, y2 in copies.items() if y2 in survivors}
         return cofactor0, cofactor1, copies
 

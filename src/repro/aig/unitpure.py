@@ -20,9 +20,9 @@ is ``O(|phi| + |V|)``.
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict
 
-from .graph import Aig, FALSE, TRUE, is_complemented, node_of
+from .graph import Aig, FALSE, TRUE
 
 
 class UnitPureInfo:
@@ -53,32 +53,37 @@ def find_units(aig: Aig, root: int) -> Dict[int, bool]:
     units: Dict[int, bool] = {}
     if root in (TRUE, FALSE):
         return units
-    node = node_of(root)
-    if is_complemented(root):
+    fanin0, fanin1, labels = aig._fanin0, aig._fanin1, aig._input_label
+    node = root >> 1
+    if root & 1:
         # phi = !n.  Only when n is an input is a (negative) unit visible.
-        if aig.is_input(node):
-            units[aig.input_label(node)] = False
+        if fanin0[node] < 0:
+            units[labels[node]] = False
         return units
-    # Walk the top-level conjunction: descend through uncomplemented AND edges.
+    # Walk the top-level conjunction: descend through uncomplemented AND
+    # edges (fanin0 pushed first).  Traversal stamps mark visited nodes;
+    # stamped children are not pushed (they would be skipped anyway).
+    aig._travid += 1
+    travid = aig._travid
+    mark = aig._mark
     stack = [node]
-    seen: Set[int] = set()
     while stack:
         node = stack.pop()
-        if node in seen:
+        if mark[node] == travid:
             continue
-        seen.add(node)
-        if aig.is_input(node):
-            units[aig.input_label(node)] = True
+        mark[node] = travid
+        f0 = fanin0[node]
+        if f0 < 0:
+            if node:  # an input (node 0 is the constant)
+                units[labels[node]] = True
             continue
-        if not aig.is_and(node):
-            continue
-        for fanin in aig.fanins(node):
-            child = node_of(fanin)
-            if is_complemented(fanin):
+        for fanin in (f0, fanin1[node]):
+            child = fanin >> 1
+            if fanin & 1:
                 # A single negation right above an input node: negative unit.
-                if aig.is_input(child):
-                    units[aig.input_label(child)] = False
-            else:
+                if fanin0[child] < 0 and child:
+                    units[labels[child]] = False
+            elif mark[child] != travid:
                 stack.append(child)
     return units
 
@@ -98,26 +103,25 @@ def find_pures(aig: Aig, root: int) -> Dict[int, bool]:
         return aig._np.find_pures(root)
     # parities[node] is a bitmask: 1 = reachable with even #negations,
     # 2 = reachable with odd #negations.
-    parities: Dict[int, int] = {}
-    start = node_of(root)
-    start_parity = 1 if is_complemented(root) else 0
-    parities[start] = 1 << start_parity
-    worklist = [(start, start_parity)]
+    fanin0, fanin1, labels = aig._fanin0, aig._fanin1, aig._input_label
+    parities: Dict[int, int] = {root >> 1: 1 << (root & 1)}
+    worklist = [(root >> 1, root & 1)]
     while worklist:
         node, parity = worklist.pop()
-        if not aig.is_and(node):
+        f0 = fanin0[node]
+        if f0 < 0:
             continue
-        for fanin in aig.fanins(node):
-            child = node_of(fanin)
-            child_parity = parity ^ (1 if is_complemented(fanin) else 0)
-            mask = 1 << child_parity
-            if parities.get(child, 0) & mask:
+        for fanin in (f0, fanin1[node]):
+            child = fanin >> 1
+            child_parity = parity ^ (fanin & 1)
+            reached = parities.get(child, 0)
+            if reached & (1 << child_parity):
                 continue
-            parities[child] = parities.get(child, 0) | mask
+            parities[child] = reached | (1 << child_parity)
             worklist.append((child, child_parity))
     for node, mask in parities.items():
-        if aig.is_input(node) and mask in (1, 2):
-            pures[aig.input_label(node)] = mask == 1
+        if node and fanin0[node] < 0 and mask in (1, 2):  # an input
+            pures[labels[node]] = mask == 1
     return pures
 
 

@@ -482,7 +482,7 @@ class HqsSolver:
                     )
                     tick = time.monotonic()
                     try:
-                        result = solve_aig_qbf(
+                        return solve_aig_qbf(
                             state.aig,
                             state.root,
                             blocked,
@@ -493,26 +493,24 @@ class HqsSolver:
                             fused=options.use_fused_kernel,
                             sat_session=self._sat_session,
                         )
-                        self._add_time("time_qbf", tick)
-                        self.stats.update(
-                            {f"qbf_{k}": v for k, v in qbf_stats.as_dict().items()}
-                        )
-                        return result
                     except (
                         StageBudgetExceeded,
                         TimeoutExceeded,
                         ConflictLimitExceeded,
                     ):
-                        self._add_time("time_qbf", tick)
                         guard.check()  # whole-solve budget gone? raise it
                         qbf_enabled = False
                         self.stats["degrade_qbf"] = 1
-                        self.stats.update(
-                            {f"qbf_{k}": v for k, v in qbf_stats.as_dict().items()}
-                        )
                         guard.enter_stage("elimination")
                         self._trace(
                             "QBF back-end over budget: bounded expansion fallback"
+                        )
+                    finally:
+                        # Every exit records the stage, including budgets
+                        # (nodes, whole-solve time) that end the solve.
+                        self._add_time("time_qbf", tick)
+                        self.stats.update(
+                            {f"qbf_{k}": v for k, v in qbf_stats.as_dict().items()}
                         )
                 # Expansion path (ablation baseline, or the rung-3
                 # fallback after a degraded back-end).

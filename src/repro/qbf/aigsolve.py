@@ -79,14 +79,15 @@ def solve_aig_qbf(
             return False
 
         # Compact when the manager carries too much garbage, then check
-        # the node budget against live size.
+        # the node budget against live size (compaction copies the cone
+        # node for node, so ``live`` stays exact).
         live = aig.cone_size(root)
         if aig.num_nodes > compact_ratio * max(live, 64):
             fresh, (root,) = aig.extract([root])
             aig = fresh
             if sat_session is not None:
                 sat_session.rebind(aig)
-        guard.check_nodes(aig.cone_size(root))
+        guard.check_nodes(live)
         guard.note(qbf_quantifier_eliminations=float(stats.quantifier_eliminations))
 
         support = aig.support_of(root)

@@ -146,6 +146,22 @@ class TestStructure:
         assert fresh.support(root) == {1, 2}
         assert fresh.num_nodes < aig.num_nodes
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_extract_preserves_cone_size(self, seed):
+        """Compaction copies the cone node for node, so the live size
+        measured before ``extract`` is the cone size after it (the QBF
+        back-end checks its node budget with the pre-compaction count)."""
+        rng = random.Random(seed)
+        aig = Aig()
+        variables = list(range(1, 7))
+        for _ in range(3):
+            random_edge(aig, rng, variables, 5)  # garbage around the root
+        root = random_edge(aig, rng, variables, 6)
+        live = aig.cone_size(root)
+        fresh, (new_root,) = aig.extract([root])
+        assert fresh.cone_size(new_root) == live
+        assert fresh.num_nodes == live + len(fresh.support(new_root)) + 1
+
 
 class TestSemantics:
     @settings(max_examples=80, deadline=None)

@@ -24,7 +24,7 @@ from repro.errors import (
     TimeoutExceeded,
 )
 from repro.formula.dqbf import Dqbf, expansion_solve
-from repro.pec.families import make_comp, make_pec_xor
+from repro.pec.families import generate_family, make_comp, make_pec_xor
 
 
 class TestResourceGuard:
@@ -185,6 +185,17 @@ class TestExhaustionVerdicts:
         assert result.status == UNKNOWN
         assert result.failure is not None
         assert result.failure.resource in ("nodes", "time")
+
+    def test_backend_node_out_records_stage_time(self):
+        """A node budget blown inside the QBF back-end still charges the
+        back-end's wall time and counters to the result's stats."""
+        formula = generate_family("comp", 1, 1.0)[0].formula
+        result = HqsSolver().solve(formula, Limits(node_limit=300))
+        assert result.status == UNKNOWN
+        assert result.failure.stage == "qbf-backend"
+        assert result.failure.resource == "nodes"
+        assert result.stats["time_qbf"] > 0
+        assert result.stats["qbf_quantifier_eliminations"] > 0
 
     def test_failure_survives_result_serialization(self):
         result = solve_dqbf(self._hard_formula(), limits=Limits(time_limit=0.0))
