@@ -5,8 +5,8 @@ The AIG kernels promise "same traversal, same numbering": node ids,
 kernel rewrite that keeps the DFS visiting order leaves every work
 counter of a solve unchanged.  ``golden_stats.json`` records, per AIG
 backend, the status and the non-timing counters (``kernel_*``,
-``sat_*``, ``qbf_*`` and the elimination / unit / pure counts) of a
-small generated PEC set.  The ``kernel_support_cache_*`` counters are
+``sat_*``, ``qbf_*``, the CNF preprocessing ``pre_*`` counters and the
+elimination / unit / pure counts) of a small generated PEC set.  The ``kernel_support_cache_*`` counters are
 not recorded: they count how often the frozenset support cache is
 consulted, which is a classification detail of each backend rather than
 traversal work (see ``repro.aig.graph``).
@@ -62,7 +62,7 @@ def _recorded(stats):
     for key, value in stats.items():
         if key.startswith("kernel_support_cache_"):
             continue
-        if key.startswith(("kernel_", "sat_", "qbf_")) or key in _COUNT_KEYS:
+        if key.startswith(("kernel_", "sat_", "qbf_", "pre_")) or key in _COUNT_KEYS:
             keep[key] = value
     return keep
 
