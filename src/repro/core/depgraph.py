@@ -15,7 +15,7 @@ test and the linearization below exploit this.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..formula.prefix import EXISTS, FORALL, BlockedPrefix, DependencyPrefix
 
@@ -38,23 +38,31 @@ def incomparable_pairs(prefix: DependencyPrefix) -> List[Tuple[int, int]]:
     By Theorem 4 these are exactly the binary cycles of the dependency
     graph, and the graph is cyclic iff this list is non-empty.
     """
-    pairs = []
-    existentials = prefix.existentials
-    deps = {y: prefix.dependencies(y) for y in existentials}
-    for y, y_prime in combinations(existentials, 2):
-        if not deps[y] <= deps[y_prime] and not deps[y_prime] <= deps[y]:
-            pairs.append((y, y_prime))
-    return pairs
+    deps = {y: prefix.dependencies(y) for y in prefix.existentials}
+    return [
+        (y, y_prime)
+        for y, y_prime in combinations(deps, 2)
+        if not deps[y] <= deps[y_prime] and not deps[y_prime] <= deps[y]
+    ]
+
+
+def _chain(prefix: DependencyPrefix) -> Optional[List[Tuple[FrozenSet[int], List[int]]]]:
+    """Existentials grouped by dependency set, the groups sorted by size;
+    ``None`` when cyclic.  By Theorem 4 the sets must form a chain under
+    inclusion, so each must be a subset of the next (equal sizes never are).
+    """
+    groups: Dict[FrozenSet[int], List[int]] = {}
+    for y in prefix.existentials:
+        groups.setdefault(prefix.dependencies(y), []).append(y)
+    ordered = sorted(groups.items(), key=lambda item: len(item[0]))
+    if all(d1 <= d2 for (d1, _), (d2, _) in zip(ordered, ordered[1:])):
+        return ordered
+    return None
 
 
 def is_acyclic(prefix: DependencyPrefix) -> bool:
     """Theorem 3/4 test: equivalent QBF prefix exists iff no incomparable pair."""
-    existentials = prefix.existentials
-    deps = {y: prefix.dependencies(y) for y in existentials}
-    for y, y_prime in combinations(existentials, 2):
-        if not deps[y] <= deps[y_prime] and not deps[y_prime] <= deps[y]:
-            return False
-    return True
+    return _chain(prefix) is not None
 
 
 class PrefixAnalysis:
@@ -133,19 +141,9 @@ def linearize(prefix: DependencyPrefix) -> BlockedPrefix:
 
     Raises ``ValueError`` when the graph is cyclic.
     """
-    if not is_acyclic(prefix):
+    ordered = _chain(prefix)
+    if ordered is None:
         raise ValueError("dependency graph is cyclic; no equivalent QBF prefix")
-
-    groups: Dict[FrozenSet[int], List[int]] = {}
-    for y in prefix.existentials:
-        groups.setdefault(prefix.dependencies(y), []).append(y)
-
-    ordered = sorted(groups.items(), key=lambda item: len(item[0]))
-    # Sanity: inclusion chain (guaranteed by acyclicity, equal sizes merge).
-    for (d1, _), (d2, _) in zip(ordered, ordered[1:]):
-        if not d1 <= d2:
-            raise AssertionError("group dependency sets are not chain-ordered")
-
     blocked = BlockedPrefix()
     placed: Set[int] = set()
     for deps, variables in ordered:

@@ -21,7 +21,7 @@ detection runs once at the end (as in the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..formula.cnf import Cnf
 from ..formula.dqbf import Dqbf
@@ -193,9 +193,16 @@ def _propagate_units(
 def _universal_reduction(work: Dqbf, stats: PreprocessStats):
     """Apply generalized universal reduction to every clause."""
     prefix = work.prefix
+    universals = set(prefix.universals)
     new_clauses: List[Tuple[int, ...]] = []
     changed = False
     for clause in work.matrix:
+        if not clause:
+            return "UNSAT"  # nothing left to keep
+        if universals.isdisjoint(map(abs, clause)):
+            # nothing to reduce: skip the dependency union
+            new_clauses.append(clause)
+            continue
         existential_deps: Set[int] = set()
         for lit in clause:
             v = var_of(lit)
@@ -227,11 +234,12 @@ def _substitute_one_equivalence(work: Dqbf, stats: PreprocessStats) -> bool:
     — this single pattern covers both ``a == b`` (via complementary
     literal polarities) and ``a == !b``.
     """
+    clause_set = work.matrix.clause_set
     binary = {c for c in work.matrix if len(c) == 2}
     for clause in binary:
         l1, l2 = clause
-        mirror = tuple(sorted((-l1, -l2), key=lambda l: (var_of(l), l < 0)))
-        if mirror in work.matrix:
+        # negation keeps the variable order, so the mirror is canonical
+        if (-l1, -l2) in clause_set:
             if _apply_equivalence(work, l1, -l2, stats):
                 return True
     return False
@@ -292,47 +300,79 @@ def _subsumption(work: Dqbf, stats: PreprocessStats) -> bool:
     * if ``D \\ {-l}`` is a subset of ``C \\ {l}``, resolving ``C`` with
       ``D`` on ``l`` yields a subset of ``C``, so ``l`` can be removed
       from ``C`` ("strengthening").
+
+    Each clause is only tested against clauses that share a literal
+    with it (SatELite-style occurrence lists).  Subsumption visits the
+    clauses by length (stable sort) and strengthening makes one sweep in
+    clause order, trying each clause's literals in ``frozenset``
+    iteration order, so the counters and the clause list, in order, are
+    those of testing every pair (``tests/test_subsumption.py`` keeps that
+    scan as its oracle).  The list drives AIG construction and Tseitin
+    numbering downstream.
     """
-    clauses = [frozenset(c) for c in work.matrix]
+    clauses = sorted((frozenset(c) for c in work.matrix), key=len)
     changed = False
 
-    # subsumption: shorter clauses first so survivors are minimal
-    clauses.sort(key=len)
-    kept: List[frozenset] = []
+    # forward subsumption: shorter clauses first so survivors are minimal.
+    # Every kept clause is watched by one of its literals.  A kept
+    # D <= C contains a literal of C, so C is only tested against the
+    # clauses watched by its own literals.  The empty clause sorts first,
+    # is watched by 0 and subsumes every later clause.
+    kept: List[FrozenSet[int]] = []
+    watches: Dict[int, List[FrozenSet[int]]] = {}
     for clause in clauses:
-        if any(other <= clause for other in kept if len(other) <= len(clause)):
+        if 0 in watches or any(
+            other <= clause for lit in clause for other in watches.get(lit, ())
+        ):
             stats.clauses_subsumed += 1
             changed = True
             continue
         kept.append(clause)
+        watches.setdefault(next(iter(clause), 0), []).append(clause)
 
     # self-subsuming resolution (one sweep)
-    strengthened: List[frozenset] = list(kept)
-    by_index = {i: c for i, c in enumerate(strengthened)}
-    for i, clause in list(by_index.items()):
-        for lit in list(clause):
-            if lit not in clause:
-                continue  # removed by an earlier strengthening step
-            rest = clause - {lit}
-            for j, other in by_index.items():
-                if j == i:
+    occurs: Dict[int, List[int]] = {}
+    for j, clause in enumerate(kept):
+        for lit in clause:
+            occurs.setdefault(lit, []).append(j)
+    by_index = list(kept)
+    for i, original in enumerate(kept):
+        clause = original
+        for lit in original:
+            neg = -lit
+            # ``occurs[neg]``: in index order, the clauses that held ``neg``
+            # before the sweep (never clause i).  Strengthening only removes
+            # literals, so re-check ``neg in other``; clauses after i are
+            # unchanged and sorted by length, so the first longer one ends
+            # the scan.  As neither clause is a tautology,
+            # ``other - {neg} <= clause - {lit}`` is ``other <= clause | {neg}``.
+            size = len(clause)
+            probe = None
+            for j in occurs.get(neg, ()):
+                other = by_index[j]
+                if len(other) > size:
+                    if j > i:
+                        break
                     continue
-                if -lit in other and (other - {-lit}) <= rest:
-                    by_index[i] = rest
-                    clause = rest
+                if neg not in other:
+                    continue
+                if probe is None:
+                    probe = clause | {neg}
+                if other <= probe:
+                    clause = clause - {lit}
+                    by_index[i] = clause
                     stats.literals_strengthened += 1
                     changed = True
                     break
-            else:
-                continue
-            # literal removed: restart literal loop on the shrunk clause
+            # a removed literal does not restart the loop: it goes on
+            # with the clause's remaining literals
             if not clause:
                 break
 
     if changed:
         rebuilt = Cnf(num_vars=work.matrix.num_vars)
-        for clause in by_index.values():
-            rebuilt.add_clause(sorted(clause))
+        for clause in by_index:
+            rebuilt.add_clause(clause)
         work.matrix = rebuilt
     return changed
 
@@ -348,10 +388,10 @@ def _detect_gates(work: Dqbf, stats: PreprocessStats) -> List[Gate]:
     removes their defining clauses from the matrix.
     """
     prefix = work.prefix
-    clause_set = set(work.matrix.clauses)
-
-    def canon(lits: Iterable[int]) -> Tuple[int, ...]:
-        return tuple(sorted(set(lits), key=lambda l: (var_of(l), l < 0)))
+    # Matrix clauses are canonical (sorted by variable, no repeated
+    # variable), so a pattern clause built from their literals is
+    # canonical once ordered by variable.
+    clause_set = work.matrix.clause_set
 
     candidates: List[Tuple[Gate, List[Tuple[int, ...]]]] = []
     used_outputs: Set[int] = set()
@@ -365,9 +405,16 @@ def _detect_gates(work: Dqbf, stats: PreprocessStats) -> List[Gate]:
             g = var_of(g_lit)
             if g in used_outputs or not prefix.is_existential(g):
                 continue
-            inputs = [-lit for lit in clause if lit != g_lit]
-            binaries = [canon((-g_lit, lit)) for lit in inputs]
-            if all(b in clause_set for b in binaries):
+            defining = [clause]
+            for lit in clause:
+                if lit == g_lit:
+                    continue
+                binary = (-g_lit, -lit) if g < var_of(lit) else (-lit, -g_lit)
+                if binary not in clause_set:
+                    break
+                defining.append(binary)
+            else:
+                inputs = [-lit for lit in clause if lit != g_lit]
                 if not _gate_dependency_ok(prefix, g, inputs):
                     continue
                 # g_lit <-> AND(inputs).  Normalize to a positive output.
@@ -375,46 +422,40 @@ def _detect_gates(work: Dqbf, stats: PreprocessStats) -> List[Gate]:
                     gate = Gate(g, "and", inputs)
                 else:
                     gate = Gate(g, "or", [-l for l in inputs])
-                defining = [canon(clause)] + binaries
                 candidates.append((gate, defining))
                 used_outputs.add(g)
                 break
 
-    # Binary XOR gates: 4-clause pattern.
+    # Binary XOR gates: 4-clause pattern.  For g == a xor b (up to input
+    # polarities) the pattern is the clause and its three copies with
+    # two literals negated, whichever literal plays g.
     xor_seen: Set[int] = set(used_outputs)
     for clause in work.matrix:
         if len(clause) != 3:
+            continue
+        x, y, z = clause
+        needed = [clause, (x, -y, -z), (-x, y, -z), (-x, -y, z)]
+        if not all(c in clause_set for c in needed):
             continue
         for g_lit in clause:
             g = var_of(g_lit)
             if g in xor_seen or not prefix.is_existential(g):
                 continue
-            rest = [lit for lit in clause if lit != g_lit]
-            if len(rest) != 2 or any(var_of(l) == g for l in rest):
+            a, b = [lit for lit in clause if lit != g_lit]
+            # g_lit | a | b present means: !g_lit -> (a | b) etc.
+            # Solving the pattern: g_lit == !(a xor b) == a xnor b.
+            inputs = [a, b]
+            if not _gate_dependency_ok(prefix, g, inputs):
                 continue
-            a, b = rest
-            # Pattern for g == a xor b (up to input polarities):
-            needed = [
-                canon((g_lit, a, b)),
-                canon((g_lit, -a, -b)),
-                canon((-g_lit, a, -b)),
-                canon((-g_lit, -a, b)),
-            ]
-            if all(c in clause_set for c in needed):
-                # g_lit | a | b present means: !g_lit -> (a | b) etc.
-                # Solving the pattern: g_lit == !(a xor b) == a xnor b.
-                inputs = [a, b]
-                if not _gate_dependency_ok(prefix, g, inputs):
-                    continue
-                # g_lit <-> !(a xor b): express with xor by flipping one input.
-                if g_lit > 0:
-                    gate = Gate(g, "xor", [a, -b])
-                else:
-                    gate = Gate(g, "xor", [a, b])
-                candidates.append((gate, needed))
-                xor_seen.add(g)
-                used_outputs.add(g)
-                break
+            # g_lit <-> !(a xor b): express with xor by flipping one input.
+            if g_lit > 0:
+                gate = Gate(g, "xor", [a, -b])
+            else:
+                gate = Gate(g, "xor", [a, b])
+            candidates.append((gate, needed))
+            xor_seen.add(g)
+            used_outputs.add(g)
+            break
 
     accepted = _topologically_consistent(candidates)
     if not accepted:
@@ -425,7 +466,7 @@ def _detect_gates(work: Dqbf, stats: PreprocessStats) -> List[Gate]:
         removed.update(defining)
     rebuilt = Cnf(num_vars=work.matrix.num_vars)
     for clause in work.matrix:
-        if canon(clause) not in removed:
+        if clause not in removed:
             rebuilt.add_clause(clause)
     work.matrix = rebuilt
     stats.gates_detected += len(accepted)

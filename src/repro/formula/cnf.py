@@ -81,6 +81,11 @@ class Cnf:
     def clauses(self) -> List[Tuple[int, ...]]:
         return self._clauses
 
+    @property
+    def clause_set(self) -> Set[Tuple[int, ...]]:
+        """The clauses as a set of normalized tuples (do not mutate)."""
+        return self._clause_set
+
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return iter(self._clauses)
 
@@ -130,10 +135,16 @@ class Cnf:
         """Return the CNF with ``var`` fixed to ``value`` (clauses simplified)."""
         true_lit = var if value else -var
         result = Cnf(num_vars=self.num_vars)
+        kept, kept_set = result._clauses, result._clause_set
         for clause in self._clauses:
             if true_lit in clause:
                 continue
-            result.add_clause(lit for lit in clause if lit != -true_lit)
+            if -true_lit in clause:
+                # dropping a literal keeps a normalized clause normalized
+                clause = tuple(lit for lit in clause if lit != -true_lit)
+            if clause not in kept_set:
+                kept.append(clause)
+                kept_set.add(clause)
         return result
 
     def rename(self, mapping: Dict[int, int]) -> "Cnf":

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.formula.dqbf import Dqbf
+
+# CI runs with HYPOTHESIS_PROFILE=ci: a failing property then prints a
+# ``@reproduce_failure`` blob in the log.  Nothing else differs from the
+# default profile (example counts and deadlines stay per test).
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 
 def random_clauses(rng: random.Random, num_vars: int, num_clauses: int, max_len: int = 3):

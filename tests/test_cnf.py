@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.formula.cnf import Cnf, normalize_clause
 
@@ -105,6 +106,22 @@ class TestCnfAssign:
                 full[var] = value
                 # cofactor may mention var-free clauses only
                 assert cofactor.evaluate({**assignment, var: value}) == cnf.evaluate(full)
+
+
+    @given(cnf_strategy(max_vars=5, max_clauses=20), st.integers(1, 5), st.booleans())
+    def test_assign_matches_add_clause_rebuild(self, clauses, var, value):
+        """``assign`` keeps the clause order, deduplication and
+        ``num_vars`` of a rebuild through ``add_clause``."""
+        cnf = Cnf(clauses)
+        true_lit = var if value else -var
+        expected = Cnf(num_vars=cnf.num_vars)
+        for clause in cnf:
+            if true_lit not in clause:
+                expected.add_clause(lit for lit in clause if lit != -true_lit)
+        assigned = cnf.assign(var, value)
+        assert list(assigned) == list(expected)
+        assert assigned.clause_set == expected.clause_set
+        assert assigned.num_vars == expected.num_vars
 
 
 class TestCnfRename:

@@ -80,6 +80,26 @@ class TestStatistics:
         assert "pre_rounds" in result.stats
         assert result.runtime >= 0.0
 
+    def test_preprocess_stage_timer_on_pec_instance(self):
+        from repro.pec.families import make_bitcell
+
+        result = HqsSolver().solve(make_bitcell(4, 3, buggy=False).formula)
+        assert result.status == SAT
+        assert "initial_matrix_size" in result.stats  # went past preprocessing
+        assert 0.0 < result.stats["time_preprocess"] <= result.runtime
+
+    def test_preprocess_stage_timer_when_preprocessing_decides(self):
+        formula = Dqbf.build([1], [(2, [1]), (3, [1])], [[2], [-2, 3]])
+        result = HqsSolver().solve(formula)
+        assert result.status == SAT
+        assert "initial_matrix_size" not in result.stats  # decided by units
+        assert 0.0 < result.stats["time_preprocess"] <= result.runtime
+
+    def test_preprocess_stage_timer_zero_without_preprocessing(self):
+        formula = Dqbf.build([1], [(2, [1])], [[2, 1], [-2, -1]])
+        result = HqsSolver(HqsOptions(use_preprocessing=False)).solve(formula)
+        assert result.stats["time_preprocess"] == 0.0
+
     def test_maxsat_stats_on_henkin_instance(self):
         formula = Dqbf.build(
             [1, 2], [(3, [1]), (4, [2])],
@@ -103,6 +123,11 @@ class TestLimits:
         assert result.status == UNKNOWN
         assert result.failure is not None
         assert result.failure.resource == "time"
+
+    def test_timeout_in_preprocessing_records_stage_time(self):
+        result = solve_dqbf(self._hard_instance(), limits=Limits(time_limit=0.0))
+        assert result.failure.stage == "preprocess"
+        assert result.stats["time_preprocess"] > 0.0
 
     def test_node_limit_reported(self):
         result = solve_dqbf(self._hard_instance(), limits=Limits(node_limit=1))

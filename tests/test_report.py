@@ -25,4 +25,8 @@ class TestReport:
         monkeypatch.setenv("REPRO_BENCH_TIMEOUT", "5")
         path = tmp_path / "report.md"
         assert main([str(path)]) == 0
-        assert path.read_text().startswith("# Reproduction report")
+        report = path.read_text()
+        assert report.startswith("# Reproduction report")
+        # the Stage timing section lists every HQS stage timer
+        for stage in ("preprocess", "fraig", "maxsat", "eliminate", "qbf"):
+            assert f"| {stage} |" in report
