@@ -81,7 +81,7 @@ def run_workload(formula, persistent: bool) -> Dict[str, float]:
     state = _build_state(formula)
     session = AigSatSession(state.aig, persistent=persistent)
     engine = FraigEngine(FraigOptions(num_patterns=16))
-    apply_unit_pure(state, UnitPureStats(), batched=True)
+    apply_unit_pure(state, UnitPureStats())
     rounds = 0
     while rounds < MAX_ROUNDS and state.prefix.universals and state.root > 1:
         session.rebind(state.aig)
@@ -98,9 +98,9 @@ def run_workload(formula, persistent: bool) -> Dict[str, float]:
         if state.root <= 1 or not state.prefix.universals:
             break
         x = sorted(state.prefix.universals)[0]
-        eliminate_universal(state, x, fused=True)
+        eliminate_universal(state, x)
         state.prune_prefix()
-        apply_unit_pure(state, UnitPureStats(), batched=True)
+        apply_unit_pure(state, UnitPureStats())
         rounds += 1
     if state.root > 1:
         session.rebind(state.aig)

@@ -7,16 +7,19 @@ The pipeline:
 2. AIG construction with gate inlining via ``compose``;
 3. MaxSAT selection of a minimum universal elimination set —
    :mod:`repro.core.selection`;
-4. main loop: unit/pure elimination on the AIG (Theorems 5/6),
-   Theorem 2 existential elimination, Theorem 1 universal elimination of
-   the selected variables (cheapest first) while the dependency graph is
-   cyclic;
+4. main loop: unit/pure elimination on the AIG (Theorems 5/6,
+   :mod:`repro.core.unitpure`), Theorem 2 existential elimination,
+   Theorem 1 universal elimination of the selected variables (cheapest
+   first) while the dependency graph is cyclic;
 5. once acyclic: linearize the prefix (Theorem 3) and hand the AIG to
    the QBF back-end — :mod:`repro.qbf.aigsolve`.
 
-Every optimization can be switched off through :class:`HqsOptions`,
-which is how the ablation benchmarks and the [10]-style expansion
-baseline are realized.
+Every AIG step runs on the single-pass kernel of :mod:`repro.aig.graph`
+(``eliminate_universal_fused``, ``cofactor2``, ``restrict``), and the
+main loop and the back-end share one unit/pure fixpoint
+(:func:`repro.core.unitpure.unit_pure_fixpoint`).  Every optimization
+can be switched off through :class:`HqsOptions`, which is how the
+ablation benchmarks and the [10]-style expansion baseline are realized.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ class HqsOptions:
         use_maxsat_selection: bool = True,
         use_qbf_backend: bool = True,
         use_sat_probe: bool = False,
-        use_fused_kernel: bool = True,
         use_sat_session: bool = True,
         sat_session_max_clauses: int = 200_000,
         elimination_order: str = "copies",
@@ -91,11 +93,6 @@ class HqsOptions:
         # refutes with a single ground solve.  Off by default, matching
         # the evaluated HQS configuration.
         self.use_sat_probe = use_sat_probe
-        # Single-pass AIG kernel (fused cofactor/rename, batched
-        # unit/pure substitution).  Off = the naive one-rebuild-per-step
-        # reference path, kept for equivalence tests and the kernel
-        # benchmark's before/after comparison.
-        self.use_fused_kernel = use_fused_kernel
         # One persistent AigSatSession for every SAT query of the run
         # (FRAIG miters, constant checks, endgames): learned clauses and
         # Tseitin encodings survive across sweeps and elimination
@@ -282,8 +279,7 @@ class HqsSolver:
         self._trace(
             f"matrix AIG built: {state.matrix_size()} AND nodes, "
             f"{len(state.prefix.universals)} universal / "
-            f"{len(state.prefix.existentials)} existential variables "
-            f"({'fused' if options.use_fused_kernel else 'naive'} kernel)"
+            f"{len(state.prefix.existentials)} existential variables"
         )
 
         if options.use_sat_probe and not self._sat_probe(state, guard):
@@ -324,7 +320,6 @@ class HqsSolver:
                 )
             self._add_time("time_maxsat", tick)
             elimination_pool = list(selection.variables)
-            self.stats["maxsat_time"] = selection.maxsat_time
             self.stats["maxsat_pairs"] = selection.num_pairs
             self.stats["maxsat_conflicts"] = selection.conflicts
             self.stats["maxsat_decisions"] = selection.decisions
@@ -436,9 +431,7 @@ class HqsSolver:
 
             if options.use_unit_pure:
                 tick = time.monotonic()
-                decided = apply_unit_pure(
-                    state, unit_pure_stats, batched=options.use_fused_kernel, guard=guard
-                )
+                decided = apply_unit_pure(state, unit_pure_stats, guard=guard)
                 unit_pure_time += time.monotonic() - tick
                 self.stats["unit_pure_time"] = unit_pure_time
                 self._export_unit_pure(unit_pure_stats)
@@ -453,7 +446,7 @@ class HqsSolver:
                 progressed = False
                 for y in eliminable_existentials(state):
                     guard.check()
-                    eliminate_existential(state, y, fused=options.use_fused_kernel)
+                    eliminate_existential(state, y)
                     eliminations["existential"] += 1
                     self._trace(
                         f"Theorem 2: eliminated existential {y}, "
@@ -503,7 +496,6 @@ class HqsSolver:
                             use_unit_pure=options.use_unit_pure,
                             stats=qbf_stats,
                             compact_ratio=options.compact_ratio,
-                            fused=options.use_fused_kernel,
                             sat_session=self._sat_session,
                         )
                     except (
@@ -537,9 +529,7 @@ class HqsSolver:
                 x = self._next_universal(state, candidates)
 
             tick = time.monotonic()
-            copies = eliminate_universal(
-                state, x, fused=options.use_fused_kernel, guard=guard
-            )
+            copies = eliminate_universal(state, x, guard=guard)
             self._add_time("time_eliminate", tick)
             eliminations["universal"] += 1
             self._trace(

@@ -10,15 +10,20 @@ Detection is the syntactic AIG pass of Theorem 6
   universals are set to 0, negative pure ones to 1).
 
 These eliminations are particularly attractive for DQBF because they
-never duplicate variables (Section III-B).  The loop below runs to a
-fixpoint: every substitution can expose new unit/pure variables.
+never duplicate variables (Section III-B).  :func:`unit_pure_fixpoint`
+is the one loop that applies them: every substitution can expose new
+unit/pure variables, so it runs to a fixpoint.  HQS's main loop reaches
+it through :func:`apply_unit_pure`; the QBF back-end
+(:mod:`repro.qbf.aigsolve`) calls it directly on its blocked prefix.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple, Union
 
+from ..aig.graph import FALSE, TRUE, Aig
 from ..aig.unitpure import detect_unit_pure
+from ..formula.prefix import EXISTS, FORALL, BlockedPrefix, DependencyPrefix
 from .guard import ResourceGuard
 from .state import AigDqbf
 
@@ -38,103 +43,74 @@ class UnitPureStats:
         )
 
 
-def apply_unit_pure(
-    state: AigDqbf,
-    stats: Optional[UnitPureStats] = None,
-    batched: bool = True,
+def unit_pure_fixpoint(
+    aig: Aig,
+    root: int,
+    prefix: Union[DependencyPrefix, BlockedPrefix],
+    stats: UnitPureStats,
     guard: Optional[ResourceGuard] = None,
-) -> Optional[bool]:
-    """Eliminate unit/pure variables until fixpoint.
+) -> Tuple[Optional[bool], int]:
+    """Eliminate unit/pure variables of ``root`` until fixpoint.
 
-    Returns ``False`` when a universal unit proves the formula UNSAT,
-    ``True``/``False`` when the matrix collapses to a constant, and
-    ``None`` otherwise (state updated in place).
+    Works on either prefix shape: quantifiers are read through
+    ``prefix.quantifier_of`` and eliminated variables dropped with
+    ``prefix.remove_variable`` (``prefix`` is mutated).  Returns
+    ``(decided, root)``: ``decided`` is ``False`` when a universal unit
+    proves the formula false and ``None`` otherwise; ``root`` is the
+    reduced matrix, possibly a constant.
 
-    With ``batched=True`` (the default) every substitution of a
-    detection round is collected into one constant assignment and
-    applied by a single fused :meth:`~repro.aig.graph.Aig.restrict`
-    pass.  Substituting constants for distinct variables commutes, so
-    this is equivalent to the ``batched=False`` reference path, which
-    rebuilds the full live cone once per variable.
-
-    ``guard`` threads the caller's cooperative budget through the
-    fixpoint rounds; ``None`` gets an unlimited guard.
+    Every substitution of a detection round is collected into one
+    constant assignment and applied by a single
+    :meth:`~repro.aig.graph.Aig.restrict` pass; substituting constants
+    for distinct variables commutes.  ``guard`` threads the caller's
+    budget through the rounds; ``None`` gets an unlimited guard.
     """
-    stats = stats if stats is not None else UnitPureStats()
     guard = ResourceGuard.ensure(guard)
     while True:
         guard.check()
-        constant = state.is_constant()
-        if constant is not None:
-            return constant
-        info = detect_unit_pure(state.aig, state.root)
+        if root in (TRUE, FALSE):
+            return None, root
+        info = detect_unit_pure(aig, root)
         if not info:
-            return None
+            return None, root
         stats.rounds += 1
-        if batched:
-            outcome = _apply_round_batched(state, info, stats)
-        else:
-            outcome = _apply_round_naive(state, info, stats)
-        if outcome is not _CONTINUE:
-            return outcome
-
-
-_CONTINUE = object()  # sentinel: round applied, keep iterating
-
-
-def _apply_round_batched(state: AigDqbf, info, stats: UnitPureStats):
-    """Apply one detection round as a single multi-variable restrict."""
-    for var in info.units:
-        if state.prefix.quantifies(var) and state.prefix.is_universal(var):
-            # Theorem 5: a unit universal variable falsifies the DQBF.
-            return False
-    assignment = {}
-    for var, forced in info.units.items():
-        if not state.prefix.quantifies(var):
-            continue
-        assignment[var] = forced
-        stats.units_eliminated += 1
-    for var, polarity in info.pures.items():
-        if not state.prefix.quantifies(var):
-            continue
-        if state.prefix.is_existential(var):
-            assignment[var] = polarity
-        else:
+        for var in info.units:
+            if prefix.quantifier_of(var) == FORALL:
+                # Theorem 5: a unit universal variable falsifies the formula.
+                return False, root
+        assignment: Dict[int, bool] = {}
+        for var, forced in info.units.items():
+            if prefix.quantifier_of(var) is None:
+                continue
+            assignment[var] = forced
+            stats.units_eliminated += 1
+        for var, polarity in info.pures.items():
+            quantifier = prefix.quantifier_of(var)
+            if quantifier is None:
+                continue
             # Universal pure: substitute the adverse polarity.
-            assignment[var] = not polarity
-        stats.pures_eliminated += 1
-    if not assignment:
-        return None
-    state.root = state.aig.restrict(state.root, assignment)
-    for var in assignment:
-        if state.prefix.is_existential(var):
-            state.prefix.remove_existential(var)
-        else:
-            state.prefix.remove_universal(var)
-    return _CONTINUE
+            assignment[var] = polarity if quantifier == EXISTS else not polarity
+            stats.pures_eliminated += 1
+        if not assignment:
+            return None, root
+        root = aig.restrict(root, assignment)
+        for var in assignment:
+            prefix.remove_variable(var)
 
 
-def _apply_round_naive(state: AigDqbf, info, stats: UnitPureStats):
-    """Reference path: one full-cone cofactor rebuild per variable."""
-    progress = False
-    for var, forced in info.units.items():
-        if not state.prefix.quantifies(var):
-            continue
-        if state.prefix.is_universal(var):
-            return False
-        state.root = state.aig.cofactor(state.root, var, forced)
-        state.prefix.remove_existential(var)
-        stats.units_eliminated += 1
-        progress = True
-    for var, polarity in info.pures.items():
-        if not state.prefix.quantifies(var):
-            continue
-        if state.prefix.is_existential(var):
-            state.root = state.aig.cofactor(state.root, var, polarity)
-            state.prefix.remove_existential(var)
-        else:
-            state.root = state.aig.cofactor(state.root, var, not polarity)
-            state.prefix.remove_universal(var)
-        stats.pures_eliminated += 1
-        progress = True
-    return _CONTINUE if progress else None
+def apply_unit_pure(
+    state: AigDqbf,
+    stats: Optional[UnitPureStats] = None,
+    guard: Optional[ResourceGuard] = None,
+) -> Optional[bool]:
+    """:func:`unit_pure_fixpoint` on an :class:`AigDqbf` (updated in place).
+
+    Returns ``False`` when a universal unit proves the formula UNSAT,
+    ``True``/``False`` when the matrix collapses to a constant, and
+    ``None`` otherwise.
+    """
+    stats = stats if stats is not None else UnitPureStats()
+    decided, root = unit_pure_fixpoint(state.aig, state.root, state.prefix, stats, guard)
+    if root != state.root:  # assigning drops the memoized matrix size
+        state.root = root
+    return decided if decided is not None else state.is_constant()

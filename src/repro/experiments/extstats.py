@@ -34,11 +34,12 @@ def fraction_solved_fast(
 
 
 def maxsat_times(records: Sequence[RunRecord]) -> List[float]:
-    """Per-instance MaxSAT selection times recorded by HQS."""
+    """Per-instance MaxSAT selection times (``time_maxsat``) of the HQS
+    runs that reached selection (``maxsat_pairs`` is set)."""
     return [
-        r.result.stats["maxsat_time"]
+        r.result.stats["time_maxsat"]
         for r in records
-        if r.solver == "HQS" and "maxsat_time" in r.result.stats
+        if r.solver == "HQS" and "maxsat_pairs" in r.result.stats
     ]
 
 

@@ -116,6 +116,14 @@ class DependencyPrefix:
     def quantifies(self, var: int) -> bool:
         return var in self._universal_set or var in self._deps
 
+    def quantifier_of(self, var: int) -> Optional[str]:
+        """``FORALL``/``EXISTS`` for a quantified ``var``, ``None`` otherwise."""
+        if var in self._universal_set:
+            return FORALL
+        if var in self._deps:
+            return EXISTS
+        return None
+
     def dependencies(self, var: int) -> FrozenSet[int]:
         """Dependency set ``D_y`` of an existential variable."""
         return self._deps[var]

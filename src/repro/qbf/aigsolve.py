@@ -7,7 +7,9 @@ AIG directly into this solver").
 
 The algorithm quantifies the innermost block variable by variable
 (``exists`` = OR of cofactors, ``forall`` = AND of cofactors),
-interleaved with syntactic unit/pure elimination, and short-circuits to
+interleaved with syntactic unit/pure elimination (the Theorem-5
+fixpoint shared with HQS's main loop,
+:func:`repro.core.unitpure.unit_pure_fixpoint`), and short-circuits to
 a single SAT call when only one quantifier block remains.
 """
 
@@ -17,9 +19,9 @@ from typing import Dict, Optional
 
 from ..aig.cnf_bridge import is_satisfiable, is_tautology
 from ..aig.graph import FALSE, TRUE, Aig
-from ..aig.unitpure import detect_unit_pure
 from ..core.guard import ResourceGuard
-from ..formula.prefix import EXISTS, FORALL, BlockedPrefix
+from ..core.unitpure import UnitPureStats, unit_pure_fixpoint
+from ..formula.prefix import EXISTS, BlockedPrefix
 from ..formula.qbf import Qbf
 from ..sat.incremental import AigSatSession
 
@@ -29,12 +31,16 @@ class QbfSolverStats:
 
     def __init__(self) -> None:
         self.quantifier_eliminations = 0
-        self.unit_eliminations = 0
-        self.pure_eliminations = 0
+        self.unit_pure = UnitPureStats()
         self.sat_endgames = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
+        return {
+            "quantifier_eliminations": self.quantifier_eliminations,
+            "unit_eliminations": self.unit_pure.units_eliminated,
+            "pure_eliminations": self.unit_pure.pures_eliminated,
+            "sat_endgames": self.sat_endgames,
+        }
 
 
 def solve_aig_qbf(
@@ -45,7 +51,6 @@ def solve_aig_qbf(
     use_unit_pure: bool = True,
     stats: Optional[QbfSolverStats] = None,
     compact_ratio: int = 4,
-    fused: bool = True,
     sat_session: Optional[AigSatSession] = None,
 ) -> bool:
     """Decide the QBF given by ``prefix`` over the function at ``root``.
@@ -56,11 +61,6 @@ def solve_aig_qbf(
     slice so this back-end shares the solve's clock instead of starting
     its own; exhaustion raises the guard's
     :class:`~repro.errors.ResourceExhausted` subclass.
-
-    ``fused`` selects the single-pass AIG kernel (``cofactor2`` for
-    quantification, batched ``restrict`` for unit/pure); the naive path
-    rebuilds the full cone once per cofactor and is kept for kernel
-    comparisons.
 
     ``sat_session`` routes the SAT endgames through a persistent
     incremental solver (HQS hands down the session it used during
@@ -96,7 +96,7 @@ def solve_aig_qbf(
                 prefix.remove_variable(var)
 
         if use_unit_pure:
-            outcome, root = _apply_unit_pure_qbf(aig, root, prefix, stats, fused, guard)
+            outcome, root = unit_pure_fixpoint(aig, root, prefix, stats.unit_pure, guard)
             if outcome is not None:
                 return outcome
             if root in (TRUE, FALSE):
@@ -116,11 +116,7 @@ def solve_aig_qbf(
 
         quantifier, variables = prefix.innermost_block()
         var = _cheapest_variable(aig, root, variables)
-        if fused:
-            cof0, cof1 = aig.cofactor2(root, var)
-        else:
-            cof0 = aig.cofactor(root, var, False)
-            cof1 = aig.cofactor(root, var, True)
+        cof0, cof1 = aig.cofactor2(root, var)
         root = aig.lor(cof0, cof1) if quantifier == EXISTS else aig.land(cof0, cof1)
         prefix.remove_variable(var)
         stats.quantifier_eliminations += 1
@@ -148,50 +144,3 @@ def _cheapest_variable(aig: Aig, root: int, variables) -> int:
     fanout = aig.input_fanout_counts(root, variables)
     return min(variables, key=lambda v: (fanout.get(v, 0), v))
 
-
-def _apply_unit_pure_qbf(
-    aig: Aig,
-    root: int,
-    prefix: BlockedPrefix,
-    stats: QbfSolverStats,
-    fused: bool = True,
-    guard: Optional[ResourceGuard] = None,
-):
-    """Theorem 5 on a blocked prefix; returns ``(decided, root)``.
-
-    ``fused`` applies each detection round as one batched ``restrict``
-    instead of one full-cone cofactor rebuild per variable.  ``guard``
-    threads the caller's budget through the fixpoint rounds.
-    """
-    guard = ResourceGuard.ensure(guard)
-    while True:
-        guard.check()
-        if root in (TRUE, FALSE):
-            return None, root
-        info = detect_unit_pure(aig, root)
-        if not info:
-            return None, root
-        for var in info.units:
-            if prefix.quantifier_of(var) == FORALL:
-                return False, root
-        assignment: Dict[int, bool] = {}
-        for var, forced in info.units.items():
-            if prefix.quantifier_of(var) is None:
-                continue
-            assignment[var] = forced
-            stats.unit_eliminations += 1
-        for var, polarity in info.pures.items():
-            quantifier = prefix.quantifier_of(var)
-            if quantifier is None:
-                continue
-            assignment[var] = polarity if quantifier == EXISTS else not polarity
-            stats.pure_eliminations += 1
-        if not assignment:
-            return None, root
-        if fused:
-            root = aig.restrict(root, assignment)
-        else:
-            for var, value in assignment.items():
-                root = aig.cofactor(root, var, value)
-        for var in assignment:
-            prefix.remove_variable(var)

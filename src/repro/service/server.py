@@ -40,7 +40,7 @@ from typing import Dict, Optional, Sequence
 
 from .. import faults
 from ..core.checkpoint import formula_fingerprint
-from ..experiments.parallel import ResultLog
+from ..durable import ResultLog
 from ..formula.dqdimacs import DqdimacsError, parse_dqdimacs
 from .cache import ResultCache
 from .pool import WorkerPool

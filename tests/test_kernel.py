@@ -1,11 +1,12 @@
-"""Fused AIG kernel: equivalence with the naive rebuild path + caches.
+"""Single-pass AIG kernel: semantic oracles, the unit/pure fixpoint, caches.
 
-The fused primitives (``restrict``, ``cofactor2``,
-``eliminate_universal_fused``) and the batched unit/pure application
-must compute exactly the functions of the naive ``cofactor``/``rename``
-chains they replace.  Equivalence is checked property-style with
-``Aig.evaluate`` under random assignments, on random expression AIGs
-and on random DQBFs.
+The kernel primitives (``restrict``, ``cofactor2``,
+``eliminate_universal_fused``) must compute exactly the functions of
+the ``cofactor``/``rename`` rebuild chains they replace, and a Theorem-1
+step must match its definition evaluated on the original matrix.
+Equivalence is checked property-style with ``Aig.evaluate`` under
+random or exhaustive assignments, on random expression AIGs and on
+random DQBFs.
 """
 
 import itertools
@@ -15,13 +16,16 @@ from hypothesis import given, settings
 
 from repro.aig.cnf_bridge import cnf_to_aig
 from repro.aig.graph import FALSE, TRUE, Aig, complement
+from repro.core.depgraph import linearize
 from repro.core.elimination import eliminate_universal
 from repro.core.hqs import HqsOptions, HqsSolver
 from repro.core.state import AigDqbf
-from repro.core.unitpure import UnitPureStats, apply_unit_pure
+from repro.core.unitpure import UnitPureStats, apply_unit_pure, unit_pure_fixpoint
 from repro.formula.dqbf import Dqbf, expansion_solve
+from repro.formula.prefix import BlockedPrefix
+from repro.pec.families import make_adder
 
-from conftest import dqbf_strategy, random_dqbf
+from conftest import dqbf_strategy, random_dqbf, random_qbf
 
 
 def random_edge(aig: Aig, rng: random.Random, variables, depth: int) -> int:
@@ -37,7 +41,7 @@ def random_edge(aig: Aig, rng: random.Random, variables, depth: int) -> int:
 def assignments(variables, rng: random.Random, samples: int = 16):
     """All assignments when small, a random sample otherwise."""
     variables = sorted(variables)
-    if len(variables) <= 6:
+    if len(variables) <= 10:
         for values in itertools.product([False, True], repeat=len(variables)):
             yield dict(zip(variables, values))
     else:
@@ -45,13 +49,8 @@ def assignments(variables, rng: random.Random, samples: int = 16):
             yield {v: rng.random() < 0.5 for v in variables}
 
 
-def equivalent(aig_a: Aig, root_a: int, aig_b: Aig, root_b: int, variables, rng) -> bool:
-    for assignment in assignments(variables, rng):
-        va = (root_a == TRUE) if root_a in (TRUE, FALSE) else aig_a.evaluate(root_a, assignment)
-        vb = (root_b == TRUE) if root_b in (TRUE, FALSE) else aig_b.evaluate(root_b, assignment)
-        if va != vb:
-            return False
-    return True
+def value(aig: Aig, root: int, assignment) -> bool:
+    return root == TRUE if root in (TRUE, FALSE) else aig.evaluate(root, assignment)
 
 
 def state_of(formula: Dqbf) -> AigDqbf:
@@ -128,107 +127,86 @@ class TestFusedPrimitives:
 class TestFusedElimination:
     @settings(max_examples=40, deadline=None)
     @given(formula=dqbf_strategy())
-    def test_theorem1_fused_equals_naive(self, formula):
-        """One Theorem-1 step: fused and naive produce the same function."""
+    def test_theorem1_matches_semantic_oracle(self, formula):
+        """One Theorem-1 step against its definition on the original root.
+
+        For every assignment alpha the eliminated matrix must equal
+        ``f(alpha, x=0) & f(alpha[y := alpha(y')], x=1)`` and every copy
+        ``y'`` must get ``D_y \\ {x}``.
+        """
         rng = random.Random(4)
         universal = formula.prefix.universals[0]
-        fused_state = state_of(formula.copy())
-        naive_state = state_of(formula.copy())
-        fused_copies = eliminate_universal(fused_state, universal, fused=True)
-        naive_copies = eliminate_universal(naive_state, universal, fused=False)
+        state = state_of(formula)
+        original_root = state.root
+        original_deps = {y: state.prefix.dependencies(y) for y in state.prefix.existentials}
+        copies = eliminate_universal(state, universal)
 
-        assert set(fused_copies) == set(naive_copies)
-        # Copy *names* may differ between the paths; align them.
-        fused_to_naive = {
-            fused_copies[y]: naive_copies[y] for y in fused_copies
-        }
-        if fused_state.root > 1:
-            aligned = fused_state.aig.rename(fused_state.root, fused_to_naive)
-        else:
-            aligned = fused_state.root
-        support = set()
-        if naive_state.root > 1:
-            support |= naive_state.aig.support(naive_state.root)
-        if aligned > 1:
-            support |= fused_state.aig.support(aligned)
-        assert equivalent(
-            fused_state.aig, aligned, naive_state.aig, naive_state.root, support, rng
-        )
-        # And the prefix bookkeeping must agree — modulo the same copy-name
-        # alignment (the fused kernel may burn fresh numbers on copies that
-        # do not survive simplification, so the raw ids can differ).
-        assert set(fused_state.prefix.universals) == set(naive_state.prefix.universals)
-        aligned_existentials = {
-            fused_to_naive.get(y, y) for y in fused_state.prefix.existentials
-        }
-        assert aligned_existentials == set(naive_state.prefix.existentials)
-        for y in fused_copies:
-            assert fused_state.prefix.dependencies(
-                fused_copies[y]
-            ) == naive_state.prefix.dependencies(naive_copies[y])
+        assert not state.prefix.quantifies(universal)
+        for y, y_copy in copies.items():
+            assert y_copy not in original_deps
+            assert state.prefix.dependencies(y_copy) == original_deps[y] - {universal}
+
+        variables = set(copies.values())
+        for root in (original_root, state.root):
+            if root > 1:
+                variables |= state.aig.support(root)
+        variables.discard(universal)
+        for alpha in assignments(variables, rng):
+            renamed = {**alpha, **{y: alpha[y_copy] for y, y_copy in copies.items()}}
+            want = value(state.aig, original_root, {**alpha, universal: False}) and value(
+                state.aig, original_root, {**renamed, universal: True}
+            )
+            assert value(state.aig, state.root, alpha) == want
 
     def test_copies_only_for_occurring_dependents(self):
         # Matrix (x | y2) & (!x | y3): the 1-cofactor is just y3, so only
-        # y3 gets a copy even though y2 also depends on x (naive behaviour).
+        # y3 gets a copy even though y2 also depends on x.
         formula = Dqbf.build([1], [(2, [1]), (3, [1])], [[1, 2], [-1, 3]])
         state = state_of(formula)
-        copies = eliminate_universal(state, 1, fused=True)
+        copies = eliminate_universal(state, 1)
         assert 2 not in copies
         assert 3 in copies
 
 
 class TestBatchedUnitPure:
-    @settings(max_examples=40, deadline=None)
-    @given(formula=dqbf_strategy(max_universals=3, max_existentials=3))
-    def test_batched_equals_naive(self, formula):
-        rng = random.Random(5)
-        batched_state = state_of(formula.copy())
-        naive_state = state_of(formula.copy())
-        batched_outcome = apply_unit_pure(batched_state, UnitPureStats(), batched=True)
-        naive_outcome = apply_unit_pure(naive_state, UnitPureStats(), batched=False)
-        assert batched_outcome == naive_outcome
-        # On the UNSAT short-circuit the paths may abort mid-round with
-        # different partial states; the solver discards them either way.
-        if batched_outcome is None:
-            assert set(batched_state.prefix.universals) == set(
-                naive_state.prefix.universals
-            )
-            assert set(batched_state.prefix.existentials) == set(
-                naive_state.prefix.existentials
-            )
-            support = set()
-            if batched_state.root > 1:
-                support |= batched_state.aig.support(batched_state.root)
-            if naive_state.root > 1:
-                support |= naive_state.aig.support(naive_state.root)
-            assert equivalent(
-                batched_state.aig,
-                batched_state.root,
-                naive_state.aig,
-                naive_state.root,
-                support,
-                rng,
-            )
-
     def test_universal_unit_still_unsat(self):
         # forall x: x & (...)  -> universal unit, immediately UNSAT.
         formula = Dqbf.build([1], [(2, [1])], [[1], [1, 2]])
         state = state_of(formula)
-        assert apply_unit_pure(state, UnitPureStats(), batched=True) is False
+        assert apply_unit_pure(state, UnitPureStats()) is False
+
+    def test_dependency_and_blocked_prefix_agree(self):
+        """The one fixpoint gives the same result on both prefix shapes.
+
+        On a QBF-shaped DQBF, running it over the dependency prefix and
+        over its linearization must reach the same root edge (node
+        creation order included) with the same unit/pure counts.
+        """
+        rng = random.Random(7)
+        for _ in range(80):
+            qbf = random_qbf(rng, max_vars=7, max_clauses=10)
+            dependency = BlockedPrefix(qbf.prefix.blocks).to_dependency_prefix()
+            blocked = linearize(dependency)
+            runs = []
+            for prefix in (dependency.copy(), blocked):
+                aig, root = cnf_to_aig(qbf.matrix.clauses)
+                stats = UnitPureStats()
+                decided, root = unit_pure_fixpoint(aig, root, prefix, stats)
+                runs.append((decided, root, stats.units_eliminated,
+                             stats.pures_eliminated, stats.rounds))
+            assert runs[0] == runs[1], qbf
 
 
 class TestSolverEquivalence:
-    def test_fused_and_naive_agree_with_oracle(self, rng):
+    def test_solver_agrees_with_oracle(self, rng):
         for _ in range(30):
             formula = random_dqbf(rng)
             expected = expansion_solve(formula.copy())
-            for fused in (True, False):
-                options = HqsOptions(use_fused_kernel=fused)
-                result = HqsSolver(options).solve(formula.copy())
-                assert result.solved
-                assert (result.status == "SAT") == expected, (
-                    f"kernel fused={fused} disagrees with oracle on {formula!r}"
-                )
+            result = HqsSolver().solve(formula.copy())
+            assert result.solved
+            assert (result.status == "SAT") == expected, (
+                f"HQS disagrees with oracle on {formula!r}"
+            )
 
 
 class TestKernelStats:
@@ -250,30 +228,33 @@ class TestKernelStats:
             assert key in result.stats, f"missing {key}"
         assert 0.0 <= result.stats["kernel_strash_hit_rate"] <= 1.0
 
+    def test_default_solve_runs_fused_passes(self):
+        # Preprocessing on: the solve exercises the full default pipeline.
+        formula = make_adder(3, 2, False, seed=5).formula
+        result = HqsSolver().solve(formula.copy())
+        assert result.stats["kernel_fused_passes"] > 0
+
     def test_trace_mentions_kernel(self, rng):
         solver = HqsSolver(HqsOptions(use_preprocessing=False), trace=True)
         solver.solve(random_dqbf(rng).copy())
         assert any("kernel" in line for line in solver.trace)
 
-    def test_sat_service_counters_on_both_kernel_paths(self, rng):
-        # The incremental SAT service is orthogonal to the kernel choice:
-        # sat_* counters must appear on the fused and the naive path alike.
-        formula = random_dqbf(rng)
-        for fused in (True, False):
-            options = HqsOptions(use_preprocessing=False, use_fused_kernel=fused)
-            result = HqsSolver(options).solve(formula.copy())
-            for key in (
-                "sat_queries",
-                "sat_conflicts",
-                "sat_clauses_encoded",
-                "sat_encode_cache_hits",
-                "sat_learnts_reused",
-                "sat_counterexamples",
-                "sat_rebinds",
-                "sat_session_persistent",
-            ):
-                assert key in result.stats, f"missing {key} (fused={fused})"
-            assert result.stats["sat_session_persistent"] == 1
+    def test_sat_service_counters_exported(self, rng):
+        result = HqsSolver(HqsOptions(use_preprocessing=False)).solve(
+            random_dqbf(rng).copy()
+        )
+        for key in (
+            "sat_queries",
+            "sat_conflicts",
+            "sat_clauses_encoded",
+            "sat_encode_cache_hits",
+            "sat_learnts_reused",
+            "sat_counterexamples",
+            "sat_rebinds",
+            "sat_session_persistent",
+        ):
+            assert key in result.stats, f"missing {key}"
+        assert result.stats["sat_session_persistent"] == 1
 
     def test_sat_session_disabled_still_exports_counters(self, rng):
         options = HqsOptions(use_preprocessing=False, use_sat_session=False)

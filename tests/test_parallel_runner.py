@@ -30,9 +30,9 @@ from repro.core.result import (
     Limits,
     SolveResult,
 )
+from repro.durable import ResultLog
 from repro.experiments import runner
 from repro.experiments.parallel import (
-    ResultLog,
     portfolio_label,
     record_to_entry,
     run_portfolio,
@@ -242,7 +242,7 @@ class TestResultLogResume:
         path = tmp_path / "killed.jsonl"
         script = (
             "import os, sys\n"
-            "from repro.experiments.parallel import ResultLog\n"
+            "from repro.durable import ResultLog\n"
             "log = ResultLog(sys.argv[1])\n"
             "for i in range(5):\n"
             "    log.append({'instance': f'i{i}', 'solver': 'HQS',\n"

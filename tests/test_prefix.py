@@ -63,6 +63,15 @@ class TestDependencyPrefix:
         assert prefix.universals == [2]
         assert prefix.existentials == [4]
 
+    def test_quantifier_of(self):
+        prefix = simple_prefix()
+        assert prefix.quantifier_of(1) == FORALL
+        assert prefix.quantifier_of(3) == EXISTS
+        assert prefix.quantifier_of(9) is None
+        prefix.remove_variable(1)
+        assert prefix.quantifier_of(1) is None
+        assert prefix.quantifier_of(3) == EXISTS
+
     def test_restrict_to_support(self):
         prefix = simple_prefix()
         removed = prefix.restrict_to({1, 3})
